@@ -62,7 +62,8 @@ bench:
 bench-smoke:
 	$(GO) test -run NONE -bench 'E15IngestParallel64$$|AblationTelemetry|E20StatusHit$$|E20MixedReadWriteCached$$|E21Flight|E21JournalAppend$$|E22Wire|E23FedPropagationSmall$$|E23FlatPropagationSmall$$|E23UplinkEncode' -benchtime 10x -benchmem .
 
-# Short fuzz run over the wire-protocol parsers: each target gets ~10s,
+# Short fuzz run over the wire-protocol parsers and the server's wire
+# session state machine: each target gets ~10s,
 # long enough to re-cover the grammar from the checked-in seeds without
 # stalling CI. The saved corpus under internal/transmit/testdata/fuzz
 # replays on every plain `go test` as regression inputs.
@@ -72,11 +73,23 @@ fuzz-smoke:
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeFrameV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/transmit/ -fuzz FuzzDecodeBatchV2 -fuzztime 10s -run NONE
 	$(GO) test ./internal/history/ -fuzz FuzzBlockCodec -fuzztime 10s -run NONE
+	$(GO) test ./internal/core/ -fuzz FuzzWireSession -fuzztime 10s -run NONE
 
 # Fault-injection suite for the loss-tolerant delta protocol: seeded
 # loss/blackhole/partition schedules over simnet, under the race
 # detector. Seeds are fixed in the tests, so failures reproduce exactly.
+# A -run name that matches no test would pass silently, so the target
+# first checks every listed name against `go test -list`.
+FAULTINJECT_TESTS = TestLossToleranceConverges TestLossFromFirstFrame TestPartitionHealRetransmits \
+	TestHandleFrameConcurrent TestFedLossKillRejoinConverges TestBlackholeDropsEverything \
+	TestScheduleAtDrivesFaults TestLossDropsFraction
+FAULTINJECT_PKGS = ./internal/core/ ./internal/simnet/
+
 faultinject:
+	@listed="$$($(GO) test -list . $(FAULTINJECT_PKGS))" || { echo "go test -list failed"; exit 1; }; \
+	for name in $(FAULTINJECT_TESTS); do \
+		echo "$$listed" | grep -qx "$$name" || { echo "faultinject: $$name matches no test"; exit 1; }; \
+	done
 	$(GO) test -race -count=1 -v \
-		-run 'TestLossToleranceConverges|TestLegacyProtocolDivergesUnderLoss|TestPartitionHealRetransmits|TestMixedVersionClusterConverges|TestHandleFrameConcurrent|TestFedLossKillRejoinConverges|TestBlackholeDropsEverything|TestScheduleAtDrivesFaults|TestLossDropsFraction' \
-		./internal/core/ ./internal/simnet/
+		-run "^($$(echo $(FAULTINJECT_TESTS) | tr ' ' '|'))$$" \
+		$(FAULTINJECT_PKGS)

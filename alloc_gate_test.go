@@ -447,8 +447,6 @@ func TestAllocGateUplinkFlush(t *testing.T) {
 		Name: "leaf", Send: func([]byte) error { return nil },
 	})
 	srv.SetUplink(u)
-	// Negotiate the batch wire the way a parent would.
-	u.HandleControl(transmit.MarshalWireAnswer(nil, transmit.WireV2), 0)
 	names := ingestNodeNames()[:8]
 	full := ingestFullSet()
 	deltas := ingestDeltaSets()

@@ -1,6 +1,6 @@
 // Command cwxd is the ClusterWorX management server daemon. It listens on
-// two TCP ports: one for node agents (framed, compressed monitor data —
-// the §5.3.3 wire protocol) and one for control clients (cwxctl, or any
+// two TCP ports: one for node agents (framed v2 monitor data — the
+// §5.3.3 wire protocol) and one for control clients (cwxctl, or any
 // line-oriented tool).
 //
 // With -sim-nodes N it additionally hosts a simulated cluster in-process —
@@ -55,11 +55,9 @@ func main() {
 		selfMon     = flag.Duration("self-monitor", 10*time.Second, "meta-monitor period: ingest the server's own telemetry as node "+core.MetaNodeName+" (0 disables)")
 		flightN     = flag.Int("flight-rate", flight.DefaultRate, "causal-trace sampling: trace 1 in N agent ticks (min 1)")
 		flightOff   = flag.Bool("flight-off", false, "kill switch: disable the flight recorder and all trace sampling")
-		wireV1      = flag.Bool("wire-v1", false, "escape hatch: ignore v2 wire offers so every agent session stays on the v1 text protocol")
 		uplink      = flag.String("uplink", "", "federate: forward this server's consolidated change stream to a parent cwxd's agent port (host:port)")
 		uplinkEvery = flag.Duration("uplink-period", time.Second, "uplink flush cadence: changed nodes are batched upstream this often")
 		uplinkAE    = flag.Duration("uplink-anti-entropy", 5*time.Minute, "periodic full-state uplink flush so a wedged parent re-converges (0 disables)")
-		uplinkV1    = flag.Bool("uplink-v1", false, "pin the uplink to v1 per-node frames (for a parent that predates the batch wire)")
 		rollupSpec  = flag.String("rollup", "", "publish a subtree aggregate node: <agg-name> folds raw children (leaf tier, e.g. rack/leaf0), <agg-name>,<child-prefix> composes child aggregates (upper tier, e.g. grid/root,rack/); ticks with -uplink-period")
 	)
 	flag.Parse()
@@ -172,10 +170,6 @@ func main() {
 		}()
 	}
 
-	if *wireV1 {
-		srv.SetWireV1Only(true)
-		log.Printf("cwxd: -wire-v1: agent sessions pinned to the v1 text protocol")
-	}
 	var rollup *core.Rollup
 	if *rollupSpec != "" {
 		agg, childPrefix, ok := strings.Cut(*rollupSpec, ",")
@@ -197,7 +191,6 @@ func main() {
 			Addr:        *uplink,
 			Period:      *uplinkEvery,
 			AntiEntropy: *uplinkAE,
-			V1Only:      *uplinkV1,
 			Rollup:      rollup,
 		})
 		defer uc.Close()

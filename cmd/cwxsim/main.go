@@ -182,7 +182,6 @@ func runTree(perLeaf, fanout, tiers int, dur time.Duration) error {
 		for _, fs := range lvl {
 			st := fs.Uplink.Stats()
 			up.Frames += st.Frames
-			up.V1Frames += st.V1Frames
 			up.Nodes += st.Nodes
 			up.Bytes += st.Bytes
 			sessions++

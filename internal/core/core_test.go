@@ -332,12 +332,11 @@ func TestAgentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ac.Close()
-	tr := ac.Transport()
 	vals := []consolidate.Value{
 		consolidate.NumValue("load.1", consolidate.Dynamic, 0.75),
 		consolidate.TextValue("cpu.type", consolidate.Static, "Pentium III"),
 	}
-	if err := tr("netnode", vals); err != nil {
+	if err := ac.SendFrame(transmit.Frame{Node: "netnode", Seq: 1, Kind: transmit.FrameDelta, Values: vals}); err != nil {
 		t.Fatal(err)
 	}
 	// The server processes asynchronously; poll briefly.
@@ -415,9 +414,9 @@ func TestResyncOverTCP(t *testing.T) {
 
 func TestReadWireValuesEdge(t *testing.T) {
 	// Frame without newline: name only, no values.
-	name, vals, err := ReadWireValues([]byte("lonely"))
-	if err != nil || name != "lonely" || len(vals) != 0 {
-		t.Fatalf("%q %v %v", name, vals, err)
+	f, err := transmit.ParseFrame([]byte("lonely"))
+	if err != nil || f.Node != "lonely" || len(f.Values) != 0 {
+		t.Fatalf("%q %v %v", f.Node, f.Values, err)
 	}
 }
 
@@ -437,9 +436,18 @@ func TestReadWireValuesMalformed(t *testing.T) {
 		{"corrupt quoted text", []byte("node042\nos.rel S t \"Lin\n")},
 	}
 	for _, tc := range cases {
-		name, _, err := ReadWireValues(tc.frame)
+		f, err := transmit.ParseFrame(tc.frame)
 		if err == nil {
-			t.Errorf("%s: accepted malformed frame, node = %q", tc.name, name)
+			t.Errorf("%s: accepted malformed frame, node = %q", tc.name, f.Node)
+		}
+		// The server's wire session must drop it without registering a node.
+		srv := NewServer(ServerConfig{Cluster: "test"})
+		ws := &wireServer{s: srv}
+		if fatal := ws.handle(tc.frame, func([]byte) {}); !fatal {
+			t.Errorf("%s: wire session kept a malformed frame", tc.name)
+		}
+		if names := srv.NodeNames(); len(names) != 0 {
+			t.Errorf("%s: malformed frame registered nodes %v", tc.name, names)
 		}
 	}
 }
@@ -455,8 +463,8 @@ func TestCorruptCompressedWireFrame(t *testing.T) {
 	}
 	for flip := 6; flip < 20; flip++ {
 		var buf bytes.Buffer
-		send := WireFrameTransport(transmit.NewWriter(&buf, true))
-		if err := send(transmit.Frame{Node: "node042", Seq: 3, Kind: transmit.FrameDelta, Values: vals}); err != nil {
+		payload := transmit.MarshalFrame(nil, transmit.Frame{Node: "node042", Seq: 3, Kind: transmit.FrameDelta, Values: vals})
+		if err := transmit.NewWriter(&buf, true).WriteFrame(payload); err != nil {
 			t.Fatal(err)
 		}
 		wire := buf.Bytes()
@@ -465,8 +473,8 @@ func TestCorruptCompressedWireFrame(t *testing.T) {
 		if err != nil {
 			continue // rejected at the framing layer: fine
 		}
-		if name, _, err := ReadWireValues(payload); err == nil && name != "node042" {
-			t.Fatalf("flip at %d: corrupt frame accepted with node name %q", flip, name)
+		if f, err := transmit.ParseFrame(payload); err == nil && f.Node != "node042" {
+			t.Fatalf("flip at %d: corrupt frame accepted with node name %q", flip, f.Node)
 		}
 	}
 }
@@ -525,11 +533,12 @@ func TestAgentSendErrorsCounted(t *testing.T) {
 	n := node.New(clk, node.Config{Name: "err"})
 	n.PowerOn()
 	clk.Advance(10 * time.Second)
-	fails := 0
+	if _, err := NewAgent(clk, AgentConfig{Node: n}); err == nil {
+		t.Fatal("agent built without SendFrame")
+	}
 	a, err := NewAgent(clk, AgentConfig{
 		Node: n,
-		Transport: func(string, []consolidate.Value) error {
-			fails++
+		SendFrame: func(transmit.Frame) error {
 			return errTransport
 		},
 	})
@@ -548,6 +557,22 @@ var errTransport = fmt.Errorf("transport down")
 func sims(t *testing.T) *clock.Clock {
 	t.Helper()
 	return clock.New()
+}
+
+// TestSimCloneRestoresFabricLoss pins that a clone inside a lossy fault
+// phase hands the fabric back at the phase's loss rate. The monitoring
+// plane shares the fabric, so resetting it to zero would silently end
+// the fault for everything after the clone.
+func TestSimCloneRestoresFabricLoss(t *testing.T) {
+	sim := bootSim(t, 2)
+	im := image.NewBuilder("os", "1.0", image.BootDisk, 32<<20).Build()
+	sim.Net.SetLoss(0.15)
+	if _, err := sim.Clone(im, []string{"node001"}, 0.01, cloning.Params{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.Net.Loss(); got != 0.15 {
+		t.Fatalf("fabric loss after clone = %v, want the fault phase's 0.15", got)
+	}
 }
 
 func TestSimIncrementalUpdate(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clusterworx/internal/consolidate"
+	"clusterworx/internal/simnet"
 	"clusterworx/internal/transmit"
 )
 
@@ -15,9 +16,9 @@ import (
 // protocol: it drives the full agent→simnet→server stack through seeded
 // loss, blackhole, latency, and partition schedules, then requires the
 // server's view of every node to match the agent's consolidator state
-// byte for byte. A control run over the legacy unsequenced protocol
-// demonstrates the silent divergence the sequenced protocol exists to
-// fix.
+// byte for byte. A control arm over the legacy unsequenced protocol,
+// rebuilt here test-side, demonstrates the silent divergence the
+// sequenced protocol exists to fix.
 
 // syncDiff compares the server's stored values for a node against the
 // agent's own snapshot, returning one description per mismatch. The
@@ -48,15 +49,13 @@ func syncDiff(srv *Server, name string, agentVals []consolidate.Value) []string 
 	return diffs
 }
 
-// faultSim builds a simulated cluster on the monitoring plane transport
-// under test, boots it, and lets it settle losslessly so every node is
-// registered and reporting before faults begin.
-func faultSim(t *testing.T, nodes int, transport SimTransport, antiEntropy time.Duration, seed int64) *Sim {
+// faultSim builds a simulated cluster and powers it on; every agent
+// speaks the sequenced v2 session over the simulated monitoring plane.
+func faultSim(t *testing.T, nodes int, antiEntropy time.Duration, seed int64) *Sim {
 	t.Helper()
 	sim, err := NewSim(SimConfig{
 		Nodes:       nodes,
 		Cluster:     "faultlab",
-		Transport:   transport,
 		AntiEntropy: antiEntropy,
 		EchoSweep:   -1, // keep server-side probe writes out of the comparison
 		Seed:        seed,
@@ -89,7 +88,7 @@ func settleAndCompare(sim *Sim) []string {
 // monitoring-plane partition, and after the network heals the server
 // converges to a byte-identical view of every agent.
 func TestLossToleranceConverges(t *testing.T) {
-	sim := faultSim(t, 12, TransportSimnet, 20*time.Second, 42)
+	sim := faultSim(t, 12, 20*time.Second, 42)
 	sim.Advance(30 * time.Second) // boot + first lossless reports
 
 	// Phase 1: 15% random loss across the fabric.
@@ -152,24 +151,98 @@ func TestLossToleranceConverges(t *testing.T) {
 	}
 }
 
-// TestLegacyProtocolDivergesUnderLoss is the control run: the same stack
-// minus sequence numbers. Loss from the first transmission means some
-// node's initial full change set — statics included — is dropped, and
-// change suppression guarantees those values are never sent again. The
-// server must be demonstrably, permanently wrong.
-func TestLegacyProtocolDivergesUnderLoss(t *testing.T) {
-	sim := faultSim(t, 16, TransportSimnetLegacy, 0, 7)
-	sim.Net.SetLoss(0.2) // lossy from the very first frame
-	sim.Advance(60 * time.Second)
-	sim.Net.SetLoss(0)
-	sim.Advance(60 * time.Second) // plenty of lossless heartbeats to "recover"
+// TestLossFromFirstFrame runs one loss schedule against two protocols:
+// 16 nodes lossy at 20% from the very first frame, then lossless, with
+// anti-entropy off so only the protocol itself can heal. Loss from the
+// first transmission means some node's initial full change set —
+// statics included — is dropped, and change suppression guarantees
+// those values are never sent again unless the protocol notices.
+//
+//   - sequenced: the production v2 session. Its first frame carries the
+//     dictionary, so losing it exercises the unacked-dictionary resend
+//     and resync recovery from frame one; the server must converge byte
+//     for byte.
+//   - legacy: the unsequenced protocol, rebuilt test-side by
+//     legacyAgents. The server must be demonstrably, permanently wrong —
+//     the silent divergence the sequenced protocol exists to fix.
+func TestLossFromFirstFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		legacy bool
+	}{
+		{name: "sequenced"},
+		{name: "legacy", legacy: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := faultSim(t, 16, -1, 7)
+			if tc.legacy {
+				legacyAgents(t, sim)
+			}
+			sim.Net.SetLoss(0.2) // lossy from the very first frame
+			sim.Advance(60 * time.Second)
+			sim.Net.SetLoss(0)
+			sim.Advance(60 * time.Second) // plenty of lossless heartbeats to recover
 
-	diffs := settleAndCompare(sim)
-	if len(diffs) == 0 {
-		t.Fatal("legacy protocol converged under 20% loss; the control run should diverge " +
-			"(if a protocol change made this reliable, the sequenced path is redundant)")
+			if !tc.legacy {
+				var gaps int64
+				for _, st := range sim.Server.SyncStates() {
+					gaps += st.Gaps
+					if !st.Synced {
+						t.Errorf("node %s still diverged after heal: %+v", st.Node, st)
+					}
+				}
+				if gaps == 0 {
+					t.Fatal("loss produced no sequence gaps: the protocol was not exercised")
+				}
+			}
+			diffs := settleAndCompare(sim)
+			switch {
+			case !tc.legacy && len(diffs) > 0:
+				t.Fatalf("server diverged from agents after heal (%d diffs):\n%s", len(diffs), joinDiffs(diffs))
+			case tc.legacy && len(diffs) == 0:
+				t.Fatal("legacy protocol converged under 20% loss; the control arm should diverge " +
+					"(if a protocol change made this reliable, the sequenced path is redundant)")
+			case tc.legacy:
+				t.Logf("legacy protocol diverged as expected: %d mismatches, e.g. %s", len(diffs), diffs[0])
+			}
+		})
 	}
-	t.Logf("legacy protocol diverged as expected: %d mismatches, e.g. %s", len(diffs), diffs[0])
+}
+
+// legacyAgents swaps sim's agents for the legacy unsequenced protocol:
+// each change set ships as Seq-0 v1 text over the node's monitoring
+// endpoint to a receiver that parses and ingests it — no sequence
+// numbers, no back-channel, no anti-entropy — so a lost frame is never
+// detected. Call before the clock first advances.
+func legacyAgents(t *testing.T, sim *Sim) {
+	t.Helper()
+	sim.Stop()
+	const rxAddr simnet.Addr = "legacy.mon"
+	rx := sim.Net.Attach(rxAddr, simnet.FastEthernet)
+	rx.OnReceive(func(p simnet.Packet) {
+		f, err := transmit.ParseFrame(p.Payload.([]byte))
+		if err != nil {
+			t.Errorf("legacy receiver: %v", err)
+			return
+		}
+		sim.Server.HandleFrame(f) //nolint:errcheck // Seq-0 frames never request a resync
+	})
+	for i, n := range sim.Nodes {
+		ep := sim.Net.Endpoint(simnet.Addr(n.Name() + ".mon"))
+		a, err := NewAgent(sim.Clk, AgentConfig{
+			Node:        n,
+			AntiEntropy: -1,
+			SendFrame: func(f transmit.Frame) error {
+				b := transmit.MarshalFrame(nil, transmit.Frame{Node: f.Node, Values: f.Values})
+				ep.Send(rxAddr, b, len(b)+monOverheadBytes)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Agents[i] = a
+	}
 }
 
 // TestPartitionHealRetransmits pins down the agent-side banking path: a
@@ -179,7 +252,7 @@ func TestLegacyProtocolDivergesUnderLoss(t *testing.T) {
 func TestPartitionHealRetransmits(t *testing.T) {
 	// Anti-entropy off: convergence here must come from retransmission
 	// alone, not be rescued by a periodic snapshot.
-	sim := faultSim(t, 3, TransportSimnet, -1, 11)
+	sim := faultSim(t, 3, -1, 11)
 	sim.Advance(30 * time.Second)
 
 	mon := sim.Net.Endpoint("node001.mon")
@@ -278,84 +351,6 @@ func joinDiffs(diffs []string) string {
 	return out
 }
 
-// TestMixedVersionClusterConverges is the v2 rollout's differential
-// acceptance run: half the agents are pinned to the v1 text protocol
-// (old builds), half negotiate the binary v2 format, and the whole
-// cluster rides the same seeded loss/blackhole/partition schedule as
-// TestLossToleranceConverges. After the heal the server must hold a
-// byte-identical view of every agent regardless of which wire each
-// session spoke — v2's predictor chains and dictionary resync must be
-// exactly as loss-tolerant as v1's deflated text.
-func TestMixedVersionClusterConverges(t *testing.T) {
-	sim, err := NewSim(SimConfig{
-		Nodes:       12,
-		Cluster:     "faultlab",
-		Transport:   TransportSimnet,
-		AntiEntropy: 20 * time.Second,
-		EchoSweep:   -1,
-		WireV1:      func(i int) bool { return i%2 == 0 },
-		Seed:        42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sim.Stop)
-	sim.PowerOnAll()
-	sim.Advance(30 * time.Second)
-
-	sim.Net.SetLoss(0.15)
-	sim.Advance(60 * time.Second)
-	sim.Net.SetLoss(1)
-	sim.Advance(10 * time.Second)
-	sim.Net.SetLoss(0.15)
-	sim.Net.SetLatency(2 * time.Millisecond)
-	mon := sim.Net.Endpoint("node003.mon")
-	mon.SetUp(false)
-	sim.Advance(20 * time.Second)
-	mon.SetUp(true)
-	sim.Advance(20 * time.Second)
-	sim.Net.SetLoss(0)
-	sim.Advance(90 * time.Second)
-
-	// The version split must have taken: pinned agents stayed v1, and
-	// every unpinned agent upgraded (offers ride every v1 frame, so even
-	// the lossy phases cannot starve the negotiation forever).
-	var v1, v2 int
-	for i, wc := range sim.wires {
-		switch {
-		case i%2 == 0:
-			if wc.V2() {
-				t.Errorf("agent %d was pinned to v1 but negotiated v2", i)
-			}
-			v1++
-		default:
-			if !wc.V2() {
-				t.Errorf("agent %d never negotiated v2", i)
-			}
-			v2++
-		}
-	}
-	if v1 == 0 || v2 == 0 {
-		t.Fatalf("not a mixed cluster: %d v1, %d v2", v1, v2)
-	}
-
-	states := sim.Server.SyncStates()
-	var gaps int64
-	for _, st := range states {
-		gaps += st.Gaps
-		if !st.Synced {
-			t.Errorf("node %s still diverged after heal: %+v", st.Node, st)
-		}
-	}
-	if gaps == 0 {
-		t.Fatal("fault schedule produced no sequence gaps: the protocol was not exercised")
-	}
-	if diffs := settleAndCompare(sim); len(diffs) > 0 {
-		t.Fatalf("mixed-version cluster diverged after heal (%d diffs):\n%s",
-			len(diffs), joinDiffs(diffs))
-	}
-}
-
 // fedFaultSchedule drives one federation (or the flat control) through
 // the shared fault timeline: boot, 15% fabric loss with a 20 s fault
 // window mid-loss, heal, settle. The timeline is identical for every
@@ -382,28 +377,26 @@ func fedFaultSchedule(fed *FedSim, down, up func(*FedSim)) {
 }
 
 // TestFedLossKillRejoinConverges is federation's fault acceptance run: a
-// 2-leaf tree (one leaf's uplink pinned to v1) rides 15% fabric loss
-// while the batching leaf's uplink process is killed and rejoined
-// mid-schedule. After the heal the root must hold a byte-identical view
-// of every agent — and byte-identical to a flat single-server control
-// run over the same seeds and timeline, proving the extra hop and the
-// healing machinery (link desync -> "!uresync" -> snap-all, per-node
-// resync on the v1 leaf, restart renegotiation) add no divergence.
+// 2-leaf tree rides 15% fabric loss while one leaf's uplink process is
+// killed and rejoined mid-schedule. After the heal the root must hold a
+// byte-identical view of every agent — and byte-identical to a flat
+// single-server control run over the same seeds and timeline, proving
+// the extra hop and the healing machinery (link desync -> "!uresync" ->
+// snap-all, restart from a fresh session) add no divergence.
 func TestFedLossKillRejoinConverges(t *testing.T) {
 	fed, err := NewFedSim(FedConfig{
 		Fanout: 2, Tiers: 2, NodesPerLeaf: 3,
 		EchoSweep: -1, AntiEntropy: 20 * time.Second,
 		UplinkAntiEntropy: 20 * time.Second,
-		UplinkV1:          func(leaf int) bool { return leaf == 1 },
 		Seed:              42,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fed.Stop)
-	// Kill the batching leaf's forwarder for the 20 s fault window, then
-	// rejoin as a fresh process (Restart drops all session state —
-	// negotiation, sequences, dictionary).
+	// Kill leaf 0's forwarder for the 20 s fault window, then rejoin as a
+	// fresh process (Restart drops all session state — link sequence and
+	// dictionary).
 	fedFaultSchedule(fed,
 		func(f *FedSim) { f.Leaves[0].UpEp.SetUp(false) },
 		func(f *FedSim) {
@@ -426,21 +419,13 @@ func TestFedLossKillRejoinConverges(t *testing.T) {
 	fedFaultSchedule(flat, nil, nil)
 
 	// The schedule must actually have hurt: link-down send failures on
-	// the killed leaf, loss-induced batch desyncs healed by snap-alls,
-	// and per-node resyncs on the v1-pinned leaf.
+	// the killed leaf, and loss-induced batch desyncs healed by snap-alls.
 	killed := fed.Leaves[0].Uplink.Stats()
 	if killed.SendFails == 0 {
 		t.Error("killed leaf saw no uplink send failures")
 	}
-	if !killed.V2 || killed.Frames == 0 {
-		t.Errorf("rejoined leaf never renegotiated the batch wire: %+v", killed)
-	}
-	pinned := fed.Leaves[1].Uplink.Stats()
-	if pinned.V2 || pinned.V1Frames == 0 {
-		t.Errorf("pinned leaf should have stayed on v1 frames: %+v", pinned)
-	}
-	if pinned.NodeResyncs == 0 {
-		t.Error("15% loss produced no per-node resync requests on the v1 uplink")
+	if killed.Frames == 0 {
+		t.Errorf("killed leaf never forwarded a batch: %+v", killed)
 	}
 	in := fed.Root.Server.UplinkInStats()
 	if in.Desyncs == 0 {

@@ -15,10 +15,9 @@ import (
 // This file is the correctness suite for hierarchical federation: every
 // tier must mirror its subtree byte for byte, subtree rollups must be
 // exact at every level, the serving plane at an upper tier must stream
-// leaf-originated changes, trace ids must survive the uplink hop with a
-// journal record per forwarded traced sub-frame, and a v1-pinned leaf
-// must converge over the per-node fallback wire. The fault schedules
-// (loss, leaf kill/rejoin) live in faultinject_test.go.
+// leaf-originated changes, and trace ids must survive the uplink hop
+// with a journal record per forwarded traced sub-frame. The fault
+// schedules (loss, leaf kill/rejoin) live in faultinject_test.go.
 
 // fedNodeNum returns a node's numeric metric at one tier's server, or
 // fails the test.
@@ -160,8 +159,8 @@ func TestFedRealAgentsConverge(t *testing.T) {
 
 	for _, leaf := range fed.Leaves {
 		st := leaf.Uplink.Stats()
-		if !st.V2 || st.Frames == 0 {
-			t.Errorf("%s uplink never negotiated the batch wire: %+v", leaf.Name, st)
+		if st.Frames == 0 {
+			t.Errorf("%s uplink never forwarded a batch: %+v", leaf.Name, st)
 		}
 		for i, agent := range leaf.Sim.Agents {
 			name := leaf.Sim.Nodes[i].Name()
@@ -288,42 +287,5 @@ func TestFedJournalDifferential(t *testing.T) {
 	}
 	if !checked {
 		t.Error("no forwarded trace id shows ingest stages on both sides of the hop")
-	}
-}
-
-// TestFedV1PinnedUplinkConverges pins one leaf's uplink to the v1
-// per-node wire (a parent that predates the batch format, or an
-// operator escape hatch) and requires the mixed tree to converge all
-// the same: the pinned leaf ships sequenced per-node frames, the other
-// leaf batches, and the root's mirror is right either way.
-func TestFedV1PinnedUplinkConverges(t *testing.T) {
-	fed, err := NewFedSim(FedConfig{
-		Fanout: 2, Tiers: 2, NodesPerLeaf: 2, Synthetic: true,
-		UplinkV1: func(leaf int) bool { return leaf == 0 },
-		Seed:     11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rounds = 3
-	for r := 0; r < rounds; r++ {
-		fed.InjectRound()
-		fed.Advance(100 * time.Millisecond)
-	}
-	fedSettle(fed, 2)
-
-	pinned := fed.Leaves[0].Uplink.Stats()
-	if pinned.V2 || pinned.Frames != 0 || pinned.V1Frames == 0 {
-		t.Errorf("pinned leaf should speak only v1: %+v", pinned)
-	}
-	batched := fed.Leaves[1].Uplink.Stats()
-	if !batched.V2 || batched.Frames == 0 {
-		t.Errorf("unpinned leaf should upgrade to the batch wire: %+v", batched)
-	}
-	for g := 0; g < fed.TotalNodes(); g++ {
-		node := fmt.Sprintf("node%03d", g)
-		if got, want := fedNodeNum(t, fed.Root.Server, node, "cpu.load"), SynthValue(g, rounds); got != want {
-			t.Errorf("root mirror %s = %v, want %v", node, got, want)
-		}
 	}
 }

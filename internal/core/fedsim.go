@@ -63,7 +63,6 @@ type FedConfig struct {
 	Heartbeat   time.Duration
 	AntiEntropy time.Duration
 	EchoSweep   time.Duration
-	WireV1      func(globalNode int) bool
 
 	// UplinkPeriod is the flush cadence of every tier's uplink (default
 	// 100ms). Tiers are phase-staggered within the period so a change
@@ -74,9 +73,6 @@ type FedConfig struct {
 	UplinkAntiEntropy time.Duration
 	// UplinkMaxBatch bounds node sections per batch frame (0 = default).
 	UplinkMaxBatch int
-	// UplinkV1 pins selected leaf uplinks to v1 per-node frames (the
-	// mixed-version fault case; mid-tier uplinks always batch).
-	UplinkV1 func(leaf int) bool
 
 	// MirrorCapacity is the history head capacity for mirrored raw-node
 	// series at upper tiers (0 = full DefaultCapacity). Aggregates
@@ -87,13 +83,15 @@ type FedConfig struct {
 	Seed int64
 }
 
-// synthNode is one synthetic monitored node: a sender endpoint and its
-// wire sequence.
+// synthNode is one synthetic monitored node: a sender endpoint, its v2
+// wire session, and its frame sequence.
 type synthNode struct {
 	name   string
 	ep     *simnet.Endpoint
+	wc     *wireClient
 	global int
 	seq    uint64
+	resync bool // the server asked for a snapshot
 }
 
 // FedServer is one tier member.
@@ -118,7 +116,6 @@ type FedServer struct {
 	rxPackets atomic.Int64
 
 	synth []synthNode
-	buf   []byte
 }
 
 // RxPackets reports monitoring-plane packets delivered to this server.
@@ -185,7 +182,7 @@ func NewFedSim(cfg FedConfig) (*FedSim, error) {
 	for l := 0; l < cfg.Tiers-1; l++ {
 		for i, child := range f.Levels[l] {
 			parent := f.Levels[l+1][i/cfg.Fanout]
-			f.connectUplink(child, parent, l == 0 && cfg.UplinkV1 != nil && cfg.UplinkV1(i))
+			f.connectUplink(child, parent)
 		}
 	}
 
@@ -234,11 +231,12 @@ func (f *FedSim) buildServer(level, idx, tierSize int) (*FedServer, error) {
 		if cfg.Synthetic {
 			fs.Server = NewServer(ServerConfig{Cluster: name, Now: f.Clk.Now})
 			fs.Mon = attachWireReceiver(f.Net, simnet.Addr(name+".mon"), fs.Server, &fs.rxPackets)
-			for i := 0; i < cfg.NodesPerLeaf; i++ {
-				global := first + i
-				nname := fmt.Sprintf("node%03d", global)
-				ep := f.Net.Attach(simnet.Addr(nname+".mon"), simnet.FastEthernet)
-				fs.synth = append(fs.synth, synthNode{name: nname, ep: ep, global: global})
+			fs.synth = make([]synthNode, cfg.NodesPerLeaf)
+			for i := range fs.synth {
+				sn := &fs.synth[i]
+				sn.global = first + i
+				sn.name = fmt.Sprintf("node%03d", sn.global)
+				sn.ep, sn.wc = attachWireSender(f.Net, f.Clk, sn.name, func() { sn.resync = true })
 			}
 		} else {
 			sim, err := NewSim(SimConfig{
@@ -246,7 +244,6 @@ func (f *FedSim) buildServer(level, idx, tierSize int) (*FedServer, error) {
 				Cluster:     name,
 				Period:      cfg.Period,
 				Heartbeat:   cfg.Heartbeat,
-				Transport:   TransportSimnet,
 				AntiEntropy: cfg.AntiEntropy,
 				EchoSweep:   cfg.EchoSweep,
 				Seed:        cfg.Seed,
@@ -255,9 +252,6 @@ func (f *FedSim) buildServer(level, idx, tierSize int) (*FedServer, error) {
 				MasterAddr:  simnet.Addr(name + ".data"),
 				MonAddr:     simnet.Addr(name + ".mon"),
 				FirstNode:   first,
-				WireV1: func(i int) bool {
-					return cfg.WireV1 != nil && cfg.WireV1(first+i)
-				},
 			})
 			if err != nil {
 				return nil, err
@@ -298,13 +292,12 @@ func (f *FedSim) buildServer(level, idx, tierSize int) (*FedServer, error) {
 // connectUplink wires child→parent: a dedicated sender endpoint, the
 // Send closure (link-down aware, copying because fabric delivery is
 // asynchronous), and the control back-channel.
-func (f *FedSim) connectUplink(child, parent *FedServer, v1Only bool) {
+func (f *FedSim) connectUplink(child, parent *FedServer) {
 	upEp := f.Net.Attach(simnet.Addr(child.Name+".up"), simnet.FastEthernet)
 	child.UpEp = upEp
 	parentMon := simnet.Addr(parent.Name + ".mon")
 	u := NewUplink(child.Server, UplinkConfig{
 		Name:        child.Name,
-		V1Only:      v1Only,
 		MaxBatch:    f.cfg.UplinkMaxBatch,
 		AntiEntropy: f.cfg.UplinkAntiEntropy,
 		Send: func(payload []byte) error {
@@ -330,10 +323,11 @@ func (f *FedSim) connectUplink(child, parent *FedServer, v1Only bool) {
 }
 
 // attachWireReceiver attaches addr to the fabric and dispatches arriving
-// payloads to per-source wire sessions feeding srv — the same receive
-// loop NewSim installs for agent traffic, reused by every federation
+// payloads to per-source wire sessions feeding srv — the receive loop
+// of every simulated server: NewSim's agent plane and every federation
 // tier (agent frames and uplink batches share the entry point; handle
-// routes on the payload). counter, when non-nil, counts delivered
+// routes on the payload). A fatal payload just drops the datagram: the
+// sequence gap will tell. counter, when non-nil, counts delivered
 // packets.
 func attachWireReceiver(net *simnet.Network, addr simnet.Addr, srv *Server, counter *atomic.Int64) *simnet.Endpoint {
 	ep := net.Attach(addr, simnet.FastEthernet)
@@ -358,6 +352,20 @@ func attachWireReceiver(net *simnet.Network, addr simnet.Addr, srv *Server, coun
 		})
 	})
 	return ep
+}
+
+// attachWireSender attaches a simulated agent's "<node>.mon" endpoint
+// and its v2 session: control replies arriving there feed the session,
+// and a resync request calls onResync.
+func attachWireSender(net *simnet.Network, clk *clock.Clock, node string, onResync func()) (*simnet.Endpoint, *wireClient) {
+	ep := net.Attach(simnet.Addr(node+".mon"), simnet.FastEthernet)
+	wc := newWireClient(node)
+	ep.OnReceive(func(p simnet.Packet) {
+		if b, ok := p.Payload.([]byte); ok && wc.control(b, int64(clk.Now())) {
+			onResync()
+		}
+	})
+	return ep, wc
 }
 
 // TotalNodes is the monitored-node count across all leaves.
@@ -387,32 +395,35 @@ func (f *FedSim) Stop() {
 }
 
 // InjectRound drives one synthetic monitoring round: every node sends
-// one frame (a sequenced snapshot on the first round, then single-value
-// deltas whose value changes every round, so per-hop suppression has
-// exactly one change per node to forward). Returns frames sent. Must be
-// called between clock advances (the fabric is clock-threaded).
+// one frame over its v2 session (a snapshot on the first round or when
+// the server asked for a resync, then single-value deltas whose value
+// changes every round, so per-hop suppression has exactly one change per
+// node to forward). Returns frames sent. Must be called between clock
+// advances (the fabric is clock-threaded).
 func (f *FedSim) InjectRound() int {
 	f.round++
+	now := int64(f.Clk.Now())
 	sent := 0
 	for _, leaf := range f.Leaves {
 		for i := range leaf.synth {
 			sn := &leaf.synth[i]
 			sn.seq++
 			fr := transmit.Frame{
-				Node: sn.name,
-				Seq:  sn.seq,
+				Node:   sn.name,
+				Seq:    sn.seq,
+				SentNs: now,
 				Values: []consolidate.Value{
 					consolidate.NumValue("cpu.load", consolidate.Dynamic, SynthValue(sn.global, f.round)),
 				},
 			}
-			if sn.seq == 1 {
+			if sn.seq == 1 || sn.resync {
+				sn.resync = false
 				fr.Kind = transmit.FrameSnapshot
 				fr.Values = append(fr.Values,
 					consolidate.NumValue("mem.total", consolidate.Static, 1024),
 				)
 			}
-			leaf.buf = transmit.MarshalFrame(leaf.buf[:0], fr)
-			b := append([]byte(nil), leaf.buf...)
+			b := append([]byte(nil), sn.wc.marshal(fr)...)
 			sn.ep.Send(simnet.Addr(leaf.Name+".mon"), b, len(b)+monOverheadBytes)
 			sent++
 		}

@@ -60,7 +60,7 @@ func TestFlightDifferential(t *testing.T) {
 		t.Fatal("flight recorder must be enabled by default")
 	}
 
-	sim := faultSim(t, 3, TransportSimnet, 20*time.Second, 7)
+	sim := faultSim(t, 3, 20*time.Second, 7)
 	// An immediately-firing notifying rule so sampled frames reach the
 	// notify hop (hw.temp.cpu is always present on simulated nodes).
 	if err := sim.Server.Engine().AddRule(events.Rule{
@@ -197,7 +197,7 @@ func TestCtlJournalVerb(t *testing.T) {
 	base := flight.Default().Cursor()
 	prevRate := flight.SetRate(1)
 	defer flight.SetRate(prevRate)
-	sim := faultSim(t, 2, TransportSimnet, -1, 11)
+	sim := faultSim(t, 2, -1, 11)
 	sim.Advance(5 * time.Second)
 
 	out := sim.Server.HandleCtl("journal")

@@ -134,10 +134,9 @@ func (s *Server) ctlFlight(fields []string) string {
 		return "ERR no records retained for trace " + arg
 	}
 	// Pipeline hops in stage order tell the story top to bottom
-	// (gather→…→notify) even though with an in-process transport the
-	// server-side hops were journaled inside the agent's transmit hop;
-	// non-stage records (the detours) keep their causal journal order
-	// after them.
+	// (gather→…→notify) whatever order the agent and server sides
+	// journaled them in; non-stage records (the detours) keep their
+	// causal journal order after them.
 	sort.SliceStable(recs, func(i, j int) bool {
 		si, sj := recs[i].Kind == flight.KindStage, recs[j].Kind == flight.KindStage
 		if si != sj {

@@ -10,11 +10,10 @@ import (
 
 // This file carries agent traffic over real TCP for the daemons: agents
 // dial the server's agent port and stream framed change sets (the
-// §5.3.3 transmission stage on an actual socket) — deflate-compressed
-// v1 text until the session negotiates the v2 binary format (wire.go),
-// which ships raw since it is already dictionary/XOR-coded. The server
-// writes control frames (resync requests, wire answers, dict acks) back
-// down the same connection.
+// §5.3.3 transmission stage on an actual socket) in the v2 binary format
+// (wire.go), shipped raw since it is already dictionary/XOR-coded. The
+// server writes control frames (resync requests, dict acks and resets)
+// back down the same connection.
 
 // ServeAgents accepts agent connections until the listener closes. Each
 // frame is decoded and fed to HandleFrame.
@@ -63,39 +62,20 @@ type AgentConn struct {
 	ws   *wireClient
 }
 
-// DialAgent connects an agent to the server's agent port with wire
-// compression enabled and the v2 wire upgrade on offer.
+// DialAgent connects an agent to the server's agent port.
 func DialAgent(addr string, timeout time.Duration) (*AgentConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &AgentConn{conn: conn, w: transmit.NewWriter(conn, true), ws: newWireClient("", true)}, nil
+	return &AgentConn{conn: conn, w: transmit.NewWriter(conn, false), ws: newWireClient("")}, nil
 }
 
-// DisableWireV2 pins the connection to the v1 text protocol (the
-// -wire-v1 escape hatch). Call before the first SendFrame.
-func (a *AgentConn) DisableWireV2() { a.ws.disable() }
-
-// WireV2 reports whether the session has negotiated the binary v2 wire
-// format.
-func (a *AgentConn) WireV2() bool { return a.ws.V2() }
-
-// Transport returns the legacy unsequenced Transport shipping through
-// this connection.
-func (a *AgentConn) Transport() Transport { return WireTransport(a.w) }
-
-// SendFrame ships one sequenced frame — wire AgentConfig.SendFrame to it
-// for the loss-tolerant protocol, and install OnResync so the server's
-// gap detection (and the wire negotiation) can reach the agent.
+// SendFrame ships one sequenced frame — wire AgentConfig.SendFrame to it,
+// and install OnResync so the server's gap detection and dictionary
+// control can reach the agent.
 func (a *AgentConn) SendFrame(f transmit.Frame) error {
-	payload := a.ws.marshal(f)
-	var err error
-	if transmit.IsV2Payload(payload) {
-		err = a.w.WriteFrameRaw(payload)
-	} else {
-		err = a.w.WriteFrame(payload)
-	}
+	err := a.w.WriteFrameRaw(a.ws.marshal(f))
 	if err != nil {
 		a.ws.sendFailed()
 	}
@@ -104,10 +84,10 @@ func (a *AgentConn) SendFrame(f transmit.Frame) error {
 
 // OnResync starts the connection's read side: a goroutine decoding
 // server control frames and invoking fn for each resync request (fn must
-// be safe to call from that goroutine — Agent.RequestResync is). Wire
-// negotiation answers and dictionary acks are consumed here too, so
-// install it even on sessions that never expect a resync. Call at most
-// once; the goroutine exits when the connection closes.
+// be safe to call from that goroutine — Agent.RequestResync is).
+// Dictionary acks and resets are consumed here too, so install it even
+// on sessions that never expect a resync. Call at most once; the
+// goroutine exits when the connection closes.
 func (a *AgentConn) OnResync(fn func(node string)) {
 	go func() {
 		r := transmit.NewReader(a.conn)
@@ -125,7 +105,7 @@ func (a *AgentConn) OnResync(fn func(node string)) {
 	}()
 }
 
-// Stats returns raw and on-wire byte counts (the compression win).
+// Stats returns payload and on-wire (payload plus framing) byte counts.
 func (a *AgentConn) Stats() (raw, wire int64) { return a.w.RawBytes(), a.w.WireBytes() }
 
 // Close ends the connection.
@@ -138,8 +118,6 @@ type UplinkClientConfig struct {
 	Addr string
 	// Period is the flush cadence (0 = 1s).
 	Period time.Duration
-	// V1Only pins the session to v1 per-node frames (-uplink-v1).
-	V1Only bool
 	// AntiEntropy forces periodic snap-all flushes (0 disables).
 	AntiEntropy time.Duration
 	// MaxBatch bounds node sections per batch frame (0 = default).
@@ -154,8 +132,8 @@ type UplinkClientConfig struct {
 // UplinkClient maintains a child server's federation session to a parent
 // over TCP: it dials the parent's agent port, attaches an Uplink to the
 // server, flushes it every period, feeds parent control traffic back,
-// and redials — with a session restart, so negotiation and full state
-// re-establish — whenever the connection drops. The connection fields
+// and redials — with a session restart, so the link sequence and full
+// state re-establish — whenever the connection drops. The connection fields
 // are confined to the run goroutine (dial, Flush, and teardown all
 // execute there), so they need no lock; the Uplink's own session lock
 // serializes Flush against the reader's HandleControl calls.
@@ -189,7 +167,6 @@ func StartUplink(s *Server, cfg UplinkClientConfig) *UplinkClient {
 	}
 	c.u = NewUplink(s, UplinkConfig{
 		Send:        c.send,
-		V1Only:      cfg.V1Only,
 		AntiEntropy: cfg.AntiEntropy,
 		MaxBatch:    cfg.MaxBatch,
 	})
@@ -201,17 +178,14 @@ func StartUplink(s *Server, cfg UplinkClientConfig) *UplinkClient {
 // Uplink exposes the session for stats.
 func (c *UplinkClient) Uplink() *Uplink { return c.u }
 
-// send ships one payload on the current connection. Batch and v2 frames
-// are already dictionary/XOR-coded, so they skip wire compression just
-// as agent v2 traffic does.
+// send ships one payload on the current connection. Batch frames are
+// already dictionary/XOR-coded, so they skip wire compression just as
+// agent frames do.
 func (c *UplinkClient) send(payload []byte) error {
 	if c.w == nil {
 		return errUplinkDown
 	}
-	if transmit.IsV2Payload(payload) {
-		return c.w.WriteFrameRaw(payload)
-	}
-	return c.w.WriteFrame(payload)
+	return c.w.WriteFrameRaw(payload)
 }
 
 // run is the forwarder loop: one Flush per period, dialing (or redialing
@@ -241,15 +215,15 @@ func (c *UplinkClient) run() {
 }
 
 // dial opens a fresh connection and restarts the uplink session: the
-// parent's receive state is per-connection, so negotiation and the full
-// snapshot must re-run from scratch.
+// parent's receive state is per-connection, so the batch chain and the
+// full snapshot must restart from scratch.
 func (c *UplinkClient) dial() bool {
 	conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.Period)
 	if err != nil {
 		return false
 	}
 	c.conn = conn
-	c.w = transmit.NewWriter(conn, true)
+	c.w = transmit.NewWriter(conn, false)
 	c.u.Restart()
 	u, s := c.u, c.s
 	// Per-connection control reader; exits when the connection closes

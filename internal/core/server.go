@@ -89,11 +89,6 @@ type Server struct {
 	// watchSig wakes the watch hub's dispatcher after a generation bump.
 	watchSig serve.Signal
 
-	// wireV1Only, when set, makes the receive paths ignore v2 wire
-	// offers so every session stays on the v1 text protocol — the
-	// operator escape hatch behind cwxd's -wire-v1 flag (see wire.go).
-	wireV1Only atomic.Bool
-
 	// uplink, when set, is this server's session to a parent tier: every
 	// applied frame notes its node dirty there so the next flush forwards
 	// the change set upstream (uplink.go). Atomic pointer so the ingest
@@ -281,11 +276,6 @@ func (s *Server) bumpIngest(shard uint32, now time.Duration) {
 // Cluster returns the cluster name.
 func (s *Server) Cluster() string { return s.cluster }
 
-// SetWireV1Only pins all agent sessions to the v1 text wire protocol:
-// when on, receive paths stop answering v2 offers, so new sessions never
-// upgrade. Sessions already speaking v2 are unaffected.
-func (s *Server) SetWireV1Only(on bool) { s.wireV1Only.Store(on) }
-
 // Engine exposes the event engine for rule administration.
 func (s *Server) Engine() *events.Engine { return s.engine }
 
@@ -360,9 +350,10 @@ func (s *Server) lookup(name string) (*nodeRec, bool) {
 	return rec, rec != nil
 }
 
-// HandleValues ingests one unsequenced agent transmission (a change
-// set). It is the legacy entry point: HandleFrame with a zero sequence
-// number, which never detects gaps and never requests a resync.
+// HandleValues ingests one unsequenced change set for a node:
+// HandleFrame with a zero sequence number, which never detects gaps and
+// never requests a resync. In-process producers with no wire between
+// them and the server use it (the meta-monitor).
 //
 //cwx:hotpath
 func (s *Server) HandleValues(nodeName string, values []consolidate.Value) {
@@ -441,8 +432,8 @@ func (s *Server) HandleFrame(f transmit.Frame) error {
 	if f.Kind == transmit.FrameSnapshot {
 		// An authoritative snapshot heals divergence whether or not it is
 		// sequenced: batch-uplink sub-frames carry Seq 0 (continuity is
-		// link-level there), and a v1 uplink session that upgraded to
-		// batches mid-divergence must not stay marked unsynced forever.
+		// link-level there), and a node that diverged before its uplink
+		// snap-all must not stay marked unsynced forever.
 		rec.diverged = false
 		s.applySnapshotLocked(rec, f.Node, f.Values, now)
 		mIngestSnapshots.IncAt(int(rec.shard))

@@ -6,7 +6,6 @@ import (
 
 	"clusterworx/internal/clock"
 	"clusterworx/internal/cloning"
-	"clusterworx/internal/consolidate"
 	"clusterworx/internal/firmware"
 	"clusterworx/internal/icebox"
 	"clusterworx/internal/image"
@@ -15,27 +14,6 @@ import (
 	"clusterworx/internal/notify"
 	"clusterworx/internal/simnet"
 	"clusterworx/internal/transmit"
-)
-
-// SimTransport selects how simulated agents reach the server.
-type SimTransport int
-
-const (
-	// TransportDirect calls Server.HandleValues in-process: no network
-	// between agent and server, nothing can be lost. The default, and the
-	// configuration every pre-existing test and benchmark runs.
-	TransportDirect SimTransport = iota
-	// TransportSimnet carries sequenced frames over the simulated fabric
-	// on a dedicated monitoring plane ("<node>.mon" -> "master.mon"
-	// endpoints, separate from the cloning data plane), with the server's
-	// resync requests riding the reverse path. This is the loss-tolerant
-	// protocol under test in the fault-injection harness.
-	TransportSimnet
-	// TransportSimnetLegacy carries the unsequenced legacy protocol over
-	// the same fabric: lost change sets are never detected, reproducing
-	// the silent-divergence bug the sequenced protocol fixes. Exists so
-	// the harness can demonstrate the failure, not for deployment.
-	TransportSimnetLegacy
 )
 
 // simMonAddr is the server's monitoring-plane endpoint address.
@@ -55,11 +33,8 @@ type SimConfig struct {
 	// Period and Heartbeat configure the agents.
 	Period    time.Duration
 	Heartbeat time.Duration
-	// Transport selects the agent-to-server path (default TransportDirect).
-	Transport SimTransport
 	// AntiEntropy overrides the agents' periodic full-snapshot refresh
-	// interval (TransportSimnet only; zero keeps the agent default,
-	// negative disables).
+	// interval (zero keeps the agent default, negative disables).
 	AntiEntropy time.Duration
 	// Mailer receives notifications (default: a Recording inspectable via
 	// Sim.Mailer).
@@ -77,11 +52,7 @@ type SimConfig struct {
 	// default-on: the extra registry entry would surprise node-count
 	// assertions in existing deployments and tests).
 	SelfMonitor time.Duration
-	// WireV1 pins selected agents to the v1 text wire protocol
-	// (TransportSimnet only; nil offers the v2 upgrade everywhere). The
-	// fault harness uses it to run mixed-version clusters.
-	WireV1 func(i int) bool
-	Seed   int64
+	Seed        int64
 
 	// Federation plumbing (fedsim.go): a multi-tier topology builds one
 	// Sim per leaf server, all sharing a clock and fabric. Defaults
@@ -110,7 +81,11 @@ type SimConfig struct {
 
 // Sim is a complete simulated cluster: nodes in ICE Boxes, agents feeding
 // a management server, and a Fast Ethernet fabric for cloning — all on one
-// virtual clock.
+// virtual clock. Every agent speaks the sequenced v2 wire session over
+// its own monitoring-plane endpoint ("<node>.mon" -> "master.mon",
+// separate from the cloning data plane), with the server's control
+// replies riding the reverse path: the same session code the TCP
+// daemons run.
 type Sim struct {
 	Clk    *clock.Clock
 	Server *Server
@@ -127,10 +102,6 @@ type Sim struct {
 	byName     map[string]*node.Node
 	nodeImage  map[string]string
 	masterAddr simnet.Addr
-	// wires holds each agent's wire-negotiation state, indexed like
-	// Agents (nil outside TransportSimnet) — the mixed-version harness
-	// asserts on it.
-	wires []*wireClient
 }
 
 // NewSim builds the cluster powered off; call PowerOnAll (or power nodes
@@ -175,50 +146,8 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 
 	// The monitoring plane gets its own endpoints so fault injection on
 	// agent traffic cannot disturb the cloning data plane's handlers (and
-	// vice versa). The master side decodes every arriving frame and, for
-	// the sequenced protocol, answers gap detection with a resync-request
-	// control frame to the frame's source.
-	var masterMon *simnet.Endpoint
-	switch cfg.Transport {
-	case TransportSimnet:
-		masterMon = net.Attach(cfg.MonAddr, simnet.FastEthernet)
-		// One wireServer per source endpoint: each agent session gets its
-		// own decoder and negotiation state, exactly like one TCP
-		// connection would.
-		servers := make(map[simnet.Addr]*wireServer)
-		masterMon.OnReceive(func(p simnet.Packet) {
-			b, ok := p.Payload.([]byte)
-			if !ok {
-				return
-			}
-			ws := servers[p.Src]
-			if ws == nil {
-				ws = &wireServer{s: srv}
-				servers[p.Src] = ws
-			}
-			src := p.Src
-			// fatal (corrupt frame) just drops the datagram — the
-			// sequence gap will tell. Control payloads are scratch-backed
-			// and delivery is asynchronous, so copy before Send.
-			ws.handle(b, func(ctl []byte) {
-				cb := append([]byte(nil), ctl...)
-				masterMon.Send(src, cb, len(cb)+monOverheadBytes)
-			})
-		})
-	case TransportSimnetLegacy:
-		masterMon = net.Attach(cfg.MonAddr, simnet.FastEthernet)
-		masterMon.OnReceive(func(p simnet.Packet) {
-			b, ok := p.Payload.([]byte)
-			if !ok {
-				return
-			}
-			f, err := transmit.ParseFrame(b)
-			if err != nil {
-				return // corrupt frame: drop, the sequence gap will tell
-			}
-			srv.HandleFrame(f) //nolint:errcheck // legacy protocol has no back channel
-		})
-	}
+	// vice versa).
+	attachWireReceiver(net, cfg.MonAddr, srv, nil)
 
 	sim := &Sim{
 		Clk:        clk,
@@ -284,27 +213,16 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 		if cfg.Plugins != nil {
 			plugins = cfg.Plugins(i)
 		}
-		acfg := AgentConfig{
-			Node:      n,
-			Period:    cfg.Period,
-			Heartbeat: cfg.Heartbeat,
-			Plugins:   plugins,
-		}
-		var mon *simnet.Endpoint
-		var wc *wireClient
-		switch cfg.Transport {
-		case TransportDirect:
-			acfg.Transport = func(nodeName string, values []consolidate.Value) error {
-				srv.HandleValues(nodeName, values)
-				return nil
-			}
-		case TransportSimnet:
-			mon = net.Attach(simnet.Addr(name+".mon"), simnet.FastEthernet)
-			acfg.AntiEntropy = cfg.AntiEntropy
-			wc = newWireClient(name, cfg.WireV1 == nil || !cfg.WireV1(i))
-			sendWC := wc
-			monAddr := cfg.MonAddr
-			acfg.SendFrame = func(f transmit.Frame) error {
+		var agent *Agent
+		mon, wc := attachWireSender(net, clk, name, func() { agent.RequestResync() })
+		monAddr := cfg.MonAddr
+		agent, err := NewAgent(clk, AgentConfig{
+			Node:        n,
+			Period:      cfg.Period,
+			Heartbeat:   cfg.Heartbeat,
+			Plugins:     plugins,
+			AntiEntropy: cfg.AntiEntropy,
+			SendFrame: func(f transmit.Frame) error {
 				// A down local link is an error the agent can see (bank +
 				// back off); in-flight loss is silent — that is the gap
 				// detection's job. The link check runs before marshal so a
@@ -315,46 +233,15 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 				if !mon.Up() {
 					return ErrLinkDown
 				}
-				payload := sendWC.marshal(f)
-				b := append([]byte(nil), payload...)
+				b := append([]byte(nil), wc.marshal(f)...)
 				mon.Send(monAddr, b, len(b)+monOverheadBytes)
 				return nil
-			}
-		case TransportSimnetLegacy:
-			mon = net.Attach(simnet.Addr(name+".mon"), simnet.FastEthernet)
-			monAddr := cfg.MonAddr
-			acfg.Transport = func(nodeName string, values []consolidate.Value) error {
-				if !mon.Up() {
-					return ErrLinkDown
-				}
-				b := transmit.MarshalFrame(nil, transmit.Frame{Node: nodeName, Values: values})
-				mon.Send(monAddr, b, len(b)+monOverheadBytes)
-				return nil
-			}
-		default:
-			return nil, fmt.Errorf("core: unknown sim transport %d", cfg.Transport)
-		}
-		agent, err := NewAgent(clk, acfg)
+			},
+		})
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Transport == TransportSimnet {
-			agent := agent
-			recvWC := wc
-			mon.OnReceive(func(p simnet.Packet) {
-				b, ok := p.Payload.([]byte)
-				if !ok {
-					return
-				}
-				// The wire session consumes version answers, dict acks,
-				// and dict resets; resync requests surface to the agent.
-				if recvWC.control(b, int64(clk.Now())) {
-					agent.RequestResync()
-				}
-			})
-		}
 		sim.Agents = append(sim.Agents, agent)
-		sim.wires = append(sim.wires, wc)
 	}
 
 	// Server-side UDP-echo sweep: the one probe that works on dead nodes.
@@ -436,8 +323,10 @@ func (s *Sim) clone(img, old *image.Image, nodeNames []string, loss float64, par
 		s.Net.Join(group, addr)
 		addrs = append(addrs, addr)
 	}
+	// The fabric is shared with the monitoring plane: restore whatever
+	// loss a fault schedule had set, not zero.
+	defer s.Net.SetLoss(s.Net.Loss())
 	s.Net.SetLoss(loss)
-	defer s.Net.SetLoss(0)
 
 	sess := cloning.NewUpdateSession(s.Clk, s.Net, master, group, img, old, addrs, params)
 	for _, name := range nodeNames {

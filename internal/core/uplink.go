@@ -31,8 +31,7 @@ import (
 //     sequenced per *link*; when the parent detects a break it answers
 //     "!uresync" and the child arms a snap-all — every node's full state
 //     goes up in the next flush, healing any suppressed-delta loss in one
-//     round trip. A v1-pinned parent falls back to per-node sequenced
-//     frames and the classic gap→resync→snapshot machinery.
+//     round trip.
 //
 // Locking: the dirty stripes (uplinkdirty, 17) are taken from the ingest
 // path with no other lock held (HandleFrame releases the record lock
@@ -56,7 +55,7 @@ type uplinkDirtyNode struct {
 	name string
 	// snap forces a full snapshot upstream: set on local snapshot ingest
 	// (the change set is unknowable — the frame replaced state wholesale)
-	// and on parent-requested per-node resyncs.
+	// and when a send carrying the node failed.
 	snap    bool
 	names   map[string]struct{} // changed value names since the last flush
 	traceID uint64              // most recent trace context through this node
@@ -103,10 +102,6 @@ type UplinkConfig struct {
 	// means the parent may not have seen the frame; the uplink rebases
 	// and re-marks the affected nodes for snapshots.
 	Send func(payload []byte) error
-	// V1Only pins the session to v1 per-node sequenced frames (the
-	// escape hatch mirroring cwxd's -wire-v1, for a parent that predates
-	// the batch wire).
-	V1Only bool
 	// MaxBatch bounds node sections per batch frame (0 = 512).
 	MaxBatch int
 	// AntiEntropy, when non-zero, forces a periodic snap-all flush so a
@@ -117,16 +112,13 @@ type UplinkConfig struct {
 
 // UplinkStats is a counter snapshot of a session's forwarding activity.
 type UplinkStats struct {
-	Frames         int64 // v2 batch frames sent
-	V1Frames       int64 // v1 per-node frames sent
-	Nodes          int64 // node sub-frames forwarded (all wire versions)
+	Frames         int64 // batch frames sent
+	Nodes          int64 // node sub-frames forwarded
 	Bytes          int64 // payload bytes handed to Send
 	SendFails      int64
 	TracedForwards int64 // sub-frames forwarded carrying a trace id
 	SnapAlls       int64 // snap-all flushes (start, "!uresync", anti-entropy)
 	ResyncsRecv    int64 // "!uresync" / "!wreset" controls received
-	NodeResyncs    int64 // per-node "!resync" requests received (v1 sessions)
-	V2             bool  // session upgraded to the batch wire
 }
 
 // Uplink is one child server's session to its parent tier. Attach with
@@ -139,15 +131,12 @@ type Uplink struct {
 
 	stripes [uplinkStripes]uplinkStripe
 
-	// mu guards the wire-session state: negotiation, encoder chain,
-	// sequence numbers, and the stats the control plane reads.
+	// mu guards the wire-session state: encoder chain, link sequence,
+	// and the stats the control plane reads.
 	mu         sync.Mutex //cwx:lockrank uplinksess 16
-	offer      bool       // still offering v2 via v1 frame options
-	v2         bool       // parent answered; batch wire active
 	enc        *transmit.BatchEncoderV2
-	seq        uint64            // batch link sequence (last sent)
-	nodeSeq    map[string]uint64 // v1 fallback per-node sequences
-	snapAll    bool              // next flush forwards full state for every node
+	seq        uint64 // batch link sequence (last sent)
+	snapAll    bool   // next flush forwards full state for every node
 	lastSnapNs int64
 	stats      UplinkStats
 
@@ -189,9 +178,8 @@ func NewUplink(s *Server, cfg UplinkConfig) *Uplink {
 		s:       s,
 		cfg:     cfg,
 		sym:     fjournal.Sym(cfg.Name),
-		offer:   !cfg.V1Only,
+		enc:     transmit.NewBatchEncoderV2(),
 		snapAll: true,
-		nodeSeq: make(map[string]uint64),
 	}
 	for i := range u.stripes {
 		u.stripes[i].nodes = make(map[string]*uplinkDirtyNode)
@@ -255,8 +243,8 @@ func (u *Uplink) noteValue(node, metric string) {
 	st.mu.Unlock()
 }
 
-// markSnapNode queues a full-snapshot forward for one node (parent
-// resync requests, failed sends).
+// markSnapNode queues a full-snapshot forward for one node (failed
+// sends).
 func (u *Uplink) markSnapNode(node string) {
 	st := &u.stripes[shardIndex(node)]
 	st.mu.Lock()
@@ -286,7 +274,6 @@ func (u *Uplink) Flush(nowNs int64) (int, error) {
 		mUplinkSnapAlls.Inc()
 		fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindUplinkResync, Node: u.sym, TimeNs: nowNs, A: 1})
 	}
-	v2 := u.v2 && !u.cfg.V1Only
 	u.mu.Unlock()
 
 	u.drain(snapAll)
@@ -294,13 +281,7 @@ func (u *Uplink) Flush(nowNs int64) (int, error) {
 	if len(u.frames) == 0 {
 		return 0, nil
 	}
-	var sent int
-	var err error
-	if v2 {
-		sent, err = u.sendBatches(nowNs)
-	} else {
-		sent, err = u.sendV1(nowNs)
-	}
+	sent, err := u.sendBatches(nowNs)
 	for _, name := range u.remark {
 		u.markSnapNode(name)
 	}
@@ -401,9 +382,6 @@ func (u *Uplink) build() {
 func (u *Uplink) sendBatches(nowNs int64) (int, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if u.enc == nil {
-		u.enc = transmit.NewBatchEncoderV2()
-	}
 	var firstErr error
 	sent := 0
 	for lo := 0; lo < len(u.frames); lo += u.cfg.MaxBatch {
@@ -440,59 +418,10 @@ func (u *Uplink) sendBatches(nowNs int64) (int, error) {
 	return sent, firstErr
 }
 
-// sendV1 ships the assembled sub-frames as classic per-node sequenced
-// frames, each offering the v2 upgrade while the session still may take
-// it. A failed send leaves the node's sequence unadvanced and queues a
-// snapshot re-mark, so the suppressed deltas cannot be lost.
-func (u *Uplink) sendV1(nowNs int64) (int, error) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	var firstErr error
-	sent := 0
-	for i := range u.frames {
-		f := u.frames[i]
-		f.Seq = u.nodeSeq[f.Node] + 1
-		f.SentNs = nowNs
-		if u.offer {
-			f.WireOffer = transmit.WireV2
-		}
-		u.buf = transmit.MarshalFrame(u.buf[:0], f)
-		if err := u.cfg.Send(u.buf); err != nil { //cwx:allow lockscope -- Send is a transport sink (socket/fabric write) contractually barred from re-entering the server; per-node sequences must not advance concurrently with a control-plane restart
-			u.stats.SendFails++
-			mUplinkSendFails.Inc()
-			if firstErr == nil {
-				firstErr = err
-			}
-			u.remark = append(u.remark, f.Node)
-			continue
-		}
-		u.nodeSeq[f.Node] = f.Seq
-		sent++
-		u.stats.V1Frames++
-		u.stats.Nodes++
-		u.stats.Bytes += int64(len(u.buf))
-		mUplinkNodes.Add(1)
-		mUplinkBytes.Add(int64(len(u.buf)))
-		if f.TraceID != 0 {
-			u.stats.TracedForwards++
-			fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindUplinkForward, Node: fjournal.Sym(f.Node), Trace: f.TraceID, TimeNs: nowNs, A: int64(len(f.Values))})
-		}
-	}
-	return sent, firstErr
-}
-
-// HandleControl consumes one parent→child control payload: version
-// answers, dictionary acks and resets, link resyncs ("!uresync"), and
-// per-node resync requests. nowNs timestamps the journal records.
+// HandleControl consumes one parent→child control payload: dictionary
+// acks and resets, and link resyncs ("!uresync"). nowNs timestamps the
+// journal records.
 func (u *Uplink) HandleControl(payload []byte, nowNs int64) {
-	if node, ok := transmit.ParseResync(payload); ok {
-		u.markSnapNode(node)
-		u.mu.Lock()
-		u.stats.NodeResyncs++
-		u.mu.Unlock()
-		fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindResyncRecv, Node: fjournal.Sym(node), TimeNs: nowNs})
-		return
-	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	switch {
@@ -502,54 +431,30 @@ func (u *Uplink) HandleControl(payload []byte, nowNs int64) {
 		// carrying frame decodes regardless of the gap.
 		u.snapAll = true
 		u.stats.ResyncsRecv++
-		if u.v2 && u.enc != nil {
-			u.enc.Rebase()
-		}
+		u.enc.Rebase()
 		fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindUplinkResync, Node: u.sym, TimeNs: nowNs})
 	case transmit.IsWireReset(payload):
-		if u.v2 && u.enc != nil {
-			// The parent's dictionary is gone (restart): resend everything
-			// and re-establish state wholesale.
-			u.enc.ResetTable()
-			u.snapAll = true
-			u.stats.ResyncsRecv++
-			fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindWireReset, Node: u.sym, TimeNs: nowNs})
-		}
+		// The parent's dictionary is gone (restart): resend everything
+		// and re-establish state wholesale.
+		u.enc.ResetTable()
+		u.snapAll = true
+		u.stats.ResyncsRecv++
+		fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindWireReset, Node: u.sym, TimeNs: nowNs})
 	default:
-		if ver, ok := transmit.ParseWireAnswer(payload); ok {
-			if u.offer && !u.v2 && ver == transmit.WireV2 {
-				u.v2, u.offer = true, false
-				if u.enc == nil {
-					u.enc = transmit.NewBatchEncoderV2()
-				}
-				// Switch formats from a clean baseline: the v1 per-node
-				// numbering is abandoned, so the first batch carries full
-				// state for everything.
-				u.snapAll = true
-				u.stats.V2 = true
-				fjournal.Append(int(u.sym), flight.Entry{Kind: flight.KindWireUpgrade, Node: u.sym, TimeNs: nowNs, A: int64(ver)})
-			}
-		} else if n, ok := transmit.ParseDictAck(payload); ok {
-			if u.v2 && u.enc != nil {
-				u.enc.Ack(n)
-			}
+		if n, ok := transmit.ParseDictAck(payload); ok {
+			u.enc.Ack(n)
 		}
 	}
 }
 
 // Restart models a forwarder process restart (the leaf kill/rejoin fault
 // case): all session state is dropped exactly as a fresh process would
-// start — negotiation from scratch, sequences reset, snap-all armed.
-// The dirty set survives only incidentally; correctness comes from the
-// snap-all.
+// start — fresh encoder, link sequence reset, snap-all armed. The dirty
+// set survives only incidentally; correctness comes from the snap-all.
 func (u *Uplink) Restart() {
 	u.mu.Lock()
-	u.offer = !u.cfg.V1Only
-	u.v2 = false
-	u.stats.V2 = false
-	u.enc = nil
+	u.enc = transmit.NewBatchEncoderV2()
 	u.seq = 0
-	clear(u.nodeSeq)
 	u.snapAll = true
 	u.mu.Unlock()
 }

@@ -8,137 +8,82 @@ import (
 	"clusterworx/internal/transmit"
 )
 
-// This file is the session layer of the v2 wire negotiation (see
+// This file is the session layer of the v2 wire protocol (see
 // internal/transmit/framev2.go for the format): wireClient rides inside
 // the agent-side transports (AgentConn over TCP, the simnet SendFrame
 // closures), wireServer inside the server-side receive loops. Both the
 // real socket path and the simulated fabric share these, so the
 // fault-injection harness exercises the exact state machine production
-// runs.
-//
-// The protocol choice is per-session and monotone: every v1 frame offers
-// "w=2" (an ignorable header option — old servers skip it); a v2-capable
-// server answers each offer with "!wire 2" (an unknown control payload —
-// old agents ignore it); the client switches on the first answer it
-// understands and speaks v2 for the rest of the session. Either side
-// being old leaves the session on v1 with zero extra round trips.
+// runs. Every session speaks v2 from its first frame.
 
-// wireClient is one agent connection's negotiation state and v2 encoder.
-// marshal runs on the agent's clock goroutine; control on the
-// transport's receive goroutine — hence the mutex.
+// wireClient is one agent connection's v2 encoder. marshal runs on the
+// agent's clock goroutine; control on the transport's receive goroutine
+// — hence the mutex.
 type wireClient struct {
-	mu    sync.Mutex //cwx:lockrank wire 8
-	offer bool       // still offering v2 (enabled by config, not yet switched)
-	v2    bool
-	enc   *transmit.EncoderV2
-	buf   []byte // marshal scratch
-	sym   flight.Sym
+	mu  sync.Mutex //cwx:lockrank wire 8
+	enc *transmit.EncoderV2
+	buf []byte // marshal scratch
+	sym flight.Sym
 }
 
-// newWireClient builds the session state. offerV2 false pins the session
-// to the v1 text protocol (the -wire-v1 escape hatch). node may be empty
-// for transports that learn it from the first frame (TCP dial).
-func newWireClient(node string, offerV2 bool) *wireClient {
-	c := &wireClient{offer: offerV2}
+// newWireClient builds the session state. node may be empty for
+// transports that learn it from the first frame (TCP dial).
+func newWireClient(node string) *wireClient {
+	c := &wireClient{enc: transmit.NewEncoderV2()}
 	if node != "" {
 		c.sym = fjournal.Sym(node)
 	}
 	return c
 }
 
-// marshal renders f in the session's negotiated wire version into an
-// internal scratch buffer, valid until the next call. Check the payload
-// with transmit.IsV2Payload to pick the raw or deflate write path.
+// marshal encodes f into an internal scratch buffer, valid until the
+// next call.
 func (c *wireClient) marshal(f transmit.Frame) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.sym == 0 {
 		c.sym = fjournal.Sym(f.Node)
 	}
-	if c.v2 {
-		c.buf = c.enc.Encode(c.buf[:0], f)
-	} else {
-		if c.offer {
-			f.WireOffer = transmit.WireV2
-		}
-		c.buf = transmit.MarshalFrame(c.buf[:0], f)
-	}
+	c.buf = c.enc.Encode(c.buf[:0], f)
 	return c.buf
-}
-
-// V2 reports whether the session switched to the binary v2 format.
-func (c *wireClient) V2() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v2
-}
-
-// disable pins the session to v1 (stops offering). Only meaningful
-// before the first answer arrives.
-func (c *wireClient) disable() {
-	c.mu.Lock()
-	c.offer = false
-	c.mu.Unlock()
 }
 
 // sendFailed tells the encoder the receiver may not have seen the last
 // frame: the next one must carry a chain reset so it decodes regardless.
 func (c *wireClient) sendFailed() {
 	c.mu.Lock()
-	if c.v2 {
-		c.enc.Rebase()
-	}
+	c.enc.Rebase()
 	c.mu.Unlock()
 }
 
-// control dispatches one server→agent control payload: version answers,
-// dictionary acks, and dictionary resets are consumed here; resync
-// reports whether the payload was a resync request the agent loop must
-// act on. nowNs timestamps the journal records (0 when the transport has
-// no clock, like the TCP reader goroutine).
+// control dispatches one server→agent control payload: dictionary acks
+// and dictionary resets are consumed here; resync reports whether the
+// payload was a resync request the agent loop must act on. nowNs
+// timestamps the journal records (0 when the transport has no clock,
+// like the TCP reader goroutine).
 func (c *wireClient) control(payload []byte, nowNs int64) (resync bool) {
 	if _, ok := transmit.ParseResync(payload); ok {
 		return true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case transmit.IsWireReset(payload):
-		if c.v2 {
-			c.enc.ResetTable()
-			fjournal.Append(int(c.sym), flight.Entry{Kind: flight.KindWireReset, Node: c.sym, TimeNs: nowNs})
-		}
-	default:
-		if ver, ok := transmit.ParseWireAnswer(payload); ok {
-			// Switch only onto a version we actually speak; an answer
-			// naming a version we do not know leaves the session on v1
-			// (the same fallback rule the server applies to offers).
-			if c.offer && !c.v2 && ver == transmit.WireV2 {
-				c.v2 = true
-				c.offer = false
-				if c.enc == nil {
-					c.enc = transmit.NewEncoderV2()
-				}
-				fjournal.Append(int(c.sym), flight.Entry{Kind: flight.KindWireUpgrade, Node: c.sym, TimeNs: nowNs, A: int64(ver)})
-			}
-		} else if n, ok := transmit.ParseDictAck(payload); ok {
-			if c.v2 {
-				c.enc.Ack(n)
-			}
-		}
+	if transmit.IsWireReset(payload) {
+		c.enc.ResetTable()
+		fjournal.Append(int(c.sym), flight.Entry{Kind: flight.KindWireReset, Node: c.sym, TimeNs: nowNs})
+	} else if n, ok := transmit.ParseDictAck(payload); ok {
+		c.enc.Ack(n)
 	}
 	return false
 }
 
 // wireServer is one agent session's server-side receive state: the v2
-// decoder (lazily built on the first v2 payload) plus the negotiation
+// decoder (lazily built on the first v2 payload) plus the control
 // back-channel. Not safe for concurrent use — one per TCP connection or
 // per datagram source.
 type wireServer struct {
-	s        *Server
-	dec      *transmit.DecoderV2
-	ctl      []byte // control marshal scratch
-	answered bool   // journal the upgrade answer once, re-send it per offer
+	s   *Server
+	dec *transmit.DecoderV2
+	ctl []byte // control marshal scratch
 
 	// Batch uplink ingest state (federation: this server as the parent
 	// side of a child tier's uplink). The emit closure is bound once so
@@ -149,63 +94,44 @@ type wireServer struct {
 	braw   int // of those, raw (non-aggregate) nodes
 }
 
-// handle processes one arriving frame payload in either wire version:
-// decode, ingest through the sequenced machinery, and emit whatever
-// control traffic the session owes (version answers, dict acks and
-// resets, resync requests). send ships a control payload back to the
-// agent; the payload is scratch-backed and must be consumed (or copied)
-// synchronously. fatal reports a protocol violation after which the
-// transport should drop the session, exactly as v1 readers always did
-// with unparseable frames.
+// handle processes one arriving frame payload: decode, ingest through
+// the sequenced machinery, and emit whatever control traffic the session
+// owes (dict acks and resets, resync requests). send ships a control
+// payload back to the agent; the payload is scratch-backed and must be
+// consumed (or copied) synchronously. fatal reports a protocol
+// violation — any payload that is neither a v2 frame nor a v2 batch —
+// after which the transport should drop the session.
 func (ws *wireServer) handle(payload []byte, send func([]byte)) (fatal bool) {
 	if transmit.IsV2BatchPayload(payload) {
 		// Checked before the single-frame v2 path: a batch payload is a
 		// v2 payload with an extra flag bit the single decoder rejects.
 		return ws.handleBatch(payload, send)
 	}
-	var f transmit.Frame
-	if transmit.IsV2Payload(payload) {
-		if ws.dec == nil {
-			ws.dec = transmit.NewDecoderV2()
-		}
-		var err error
-		f, err = ws.dec.Decode(payload)
-		switch err {
-		case nil:
-		case transmit.ErrV2Desync:
-			// Header-only frame: the predictor chain broke on a lost
-			// frame. The seq still feeds HandleFrame below, so the
-			// gap→diverge→resync flow runs unchanged and the healing
-			// snapshot (a chain-reset frame) fixes both layers at once.
-		case transmit.ErrV2NeedReset:
-			fjournal.Append(0, flight.Entry{Kind: flight.KindWireReset, TimeNs: int64(ws.s.now())})
-			ws.ctl = transmit.MarshalWireReset(ws.ctl[:0])
-			send(ws.ctl)
-			return false
-		default:
-			return true
-		}
-		if n, ok := ws.dec.PendingAck(); ok {
-			ws.ctl = transmit.MarshalDictAck(ws.ctl[:0], n)
-			send(ws.ctl)
-		}
-	} else {
-		var err error
-		f, err = transmit.ParseFrame(payload)
-		if err != nil {
-			return true
-		}
-		if f.WireOffer >= transmit.WireV2 && !ws.s.wireV1Only.Load() {
-			// Answer every offer (not just the first): on a lossy fabric
-			// a dropped answer then costs one frame interval, not the
-			// upgrade. The client stops offering once switched.
-			if !ws.answered {
-				ws.answered = true
-				fjournal.Append(0, flight.Entry{Kind: flight.KindWireUpgrade, Node: fjournal.Sym(f.Node), TimeNs: int64(ws.s.now()), A: transmit.WireV2})
-			}
-			ws.ctl = transmit.MarshalWireAnswer(ws.ctl[:0], transmit.WireV2)
-			send(ws.ctl)
-		}
+	if !transmit.IsV2Payload(payload) {
+		return true
+	}
+	if ws.dec == nil {
+		ws.dec = transmit.NewDecoderV2()
+	}
+	f, err := ws.dec.Decode(payload)
+	switch err {
+	case nil:
+	case transmit.ErrV2Desync:
+		// Header-only frame: the predictor chain broke on a lost
+		// frame. The seq still feeds HandleFrame below, so the
+		// gap→diverge→resync flow runs unchanged and the healing
+		// snapshot (a chain-reset frame) fixes both layers at once.
+	case transmit.ErrV2NeedReset:
+		fjournal.Append(0, flight.Entry{Kind: flight.KindWireReset, TimeNs: int64(ws.s.now())})
+		ws.ctl = transmit.MarshalWireReset(ws.ctl[:0])
+		send(ws.ctl)
+		return false
+	default:
+		return true
+	}
+	if n, ok := ws.dec.PendingAck(); ok {
+		ws.ctl = transmit.MarshalDictAck(ws.ctl[:0], n)
+		send(ws.ctl)
 	}
 	if err := ws.s.HandleFrame(f); err == ErrResyncNeeded {
 		ws.ctl = transmit.MarshalResync(ws.ctl[:0], f.Node)

@@ -56,7 +56,6 @@ const (
 	KindGateRebuild        // serving-plane gate rebuilt its cached response (Detail=gate name)
 	KindWatchOverflow      // watch subscriber queue overflowed; subscriber flagged for resync
 	KindWatchResync        // watch subscriber was sent a full RESYNC snapshot (Detail=verb)
-	KindWireUpgrade        // wire session negotiated a new protocol version (A=version; agent on switch, server on first answer)
 	KindWireReset          // wire dictionary reset (server: "!wreset" sent; agent: received and rebased)
 	KindUplinkForward      // uplink forwarded a traced node sub-frame upstream (Node=node, A=values)
 	KindUplinkResync       // uplink resync (sender: "!uresync" received or snap-all armed; receiver: batch chain break, "!uresync" sent)
@@ -80,7 +79,6 @@ var kindNames = [numKinds]string{
 	KindGateRebuild:   "gate-rebuild",
 	KindWatchOverflow: "watch-overflow",
 	KindWatchResync:   "watch-resync",
-	KindWireUpgrade:   "wire-upgrade",
 	KindWireReset:     "wire-reset",
 	KindUplinkForward: "uplink-forward",
 	KindUplinkResync:  "uplink-resync",

@@ -91,6 +91,13 @@ func (n *Network) SetLoss(p float64) {
 	n.mu.Unlock()
 }
 
+// Loss reports the current per-receiver packet drop probability.
+func (n *Network) Loss() float64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.loss
+}
+
 // SetLatency changes the one-way propagation latency (fault injection: a
 // degraded or rerouted fabric). Packets already scheduled keep their old
 // arrival times.

@@ -150,9 +150,9 @@ func NewTracer() *Tracer {
 	return &Tracer{spans: make(map[string]*Span)}
 }
 
-// Spans is the process-wide tracer. In in-process simulation the agent
-// and server halves of a node's pipeline meet in the same span, giving
-// the full six-stage breakdown per node.
+// Spans is the process-wide tracer. When agents and server share a
+// process (the simulators), both halves of a node's pipeline record
+// into the same span.
 var Spans = NewTracer()
 
 // Slot returns the node's span, creating it if needed.
